@@ -5,7 +5,9 @@ Runs outside every timed region. A report matches its reference when all
 ``SolveReport`` fields agree except the ones that legitimately differ
 between two runs of the same cell: ``wall_time_s``, ``cached``,
 ``instance_label`` and ``extra["trace_id"]``. An ``ok`` report of a
-schedule-producing solver must also carry ``validated=True``.
+schedule-producing solver must also carry ``validated=True``, and where
+every cell was solved before (the repeat workload) every report must
+carry ``cached=True``.
 """
 
 from __future__ import annotations
@@ -69,14 +71,17 @@ def references(cells: list) -> list:
     return out
 
 
-def check_operations(ops: list) -> tuple[int, list[str]]:
+def check_operations(ops: list, expect_cached: bool = False
+                     ) -> tuple[int, list[str]]:
     """Check every report of every operation.
 
     ``ops`` is a list of ``(cells, reports)`` pairs, one per operation,
     where ``cells[i]`` is the ``(instance, algorithm, kwargs)`` that
     ``reports[i]`` answers; ``reports`` is ``None`` for an operation that
-    raised. Identical cells are solved once. Returns the number of
-    failed operations and the first few reasons."""
+    raised. Identical cells are solved once. With ``expect_cached`` an
+    operation also fails when any of its reports is not ``cached``.
+    Returns the number of failed operations and the first few
+    reasons."""
     distinct: dict = {}
     for cells, reports in ops:
         if reports is None:
@@ -97,6 +102,9 @@ def check_operations(ops: list) -> tuple[int, list[str]]:
         else:
             for cell, rep in zip(cells, reports):
                 why = mismatch(rep, refs[_key(*cell)])
+                if not why and expect_cached and not rep.cached:
+                    why = (f"{rep.algorithm} on {rep.instance_digest[:12]}: "
+                           "solved again, expected a result-cache hit")
                 if why:
                     break
         if why:

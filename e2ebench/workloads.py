@@ -6,8 +6,11 @@ run them through the program's public surfaces.
   :mod:`launcher`) through ``ServiceClient`` and ``Session(url)``.
 
 Load comes from this process only, with at most two threads. Every
-input is generated up front from the seed by
-``repro.workloads.generators``; the program receives only the instances.
+input is generated from the seed by ``repro.workloads.generators``:
+instance ``i`` of a stream depends on ``(seed, stream, i)`` alone, so it
+is generated when an operation needs it, before that operation's timer
+starts, and a run never runs out of inputs however fast the program is.
+The program receives only the instances.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ import common
 
 #: Pool width of the grid session, and drainers of the server child.
 WORKERS = 2
+#: Class slots per machine (the ``c`` of every instance).
+SLOTS = 2
+#: Instances per grid ``solve_batch`` call.
+INSTANCES_PER_CALL = 2
 #: Client threads of the closed loop.
 CLIENT_THREADS = 2
 #: Jobs per ``Session(url).solve_batch`` burst.
@@ -44,15 +51,10 @@ class Workload:
     n: tuple[int, int]          # jobs per instance, inclusive range
     classes: tuple[int, int]
     machines: tuple[int, int]
-    slots: int = 2
-    #: grid: instances per ``solve_batch`` call
-    per_call: int = 2
     #: grid: one algorithm per call, in rotation, instead of all of them
     rotate: bool = False
     #: service: jobs resubmit instances solved during set-up
     repeat: bool = False
-    #: upper estimate of operations per second, to size the inputs
-    max_rate: int = 300
 
 
 #: The cheap solvers every service job runs. Seven cells per job keep the
@@ -66,32 +68,32 @@ SERVICE_ALGORITHMS = ("splittable", "preemptive", "nonpreemptive", "lpt",
 WORKLOADS = {w.name: w for w in (
     Workload("grid-small", "grid",
              ("splittable", "preemptive", "nonpreemptive", "lpt"),
-             n=(32, 64), classes=(3, 6), machines=(4, 8), max_rate=400),
+             n=(32, 64), classes=(3, 6), machines=(4, 8)),
     # one shape, so every seed draws cells of about the same cost
     Workload("grid-ptas", "grid",
              ("ptas-splittable", "ptas-nonpreemptive", "nfold-splittable"),
-             n=(80, 140), classes=(4, 4), machines=(4, 4), rotate=True,
-             max_rate=60),
+             n=(80, 140), classes=(4, 4), machines=(4, 4), rotate=True),
     Workload("service-fresh", "service", SERVICE_ALGORITHMS,
-             n=(24, 48), classes=(3, 6), machines=(4, 8), max_rate=250),
+             n=(24, 48), classes=(3, 6), machines=(4, 8)),
     Workload("service-repeat", "service", SERVICE_ALGORITHMS,
-             n=(24, 48), classes=(3, 6), machines=(4, 8), repeat=True,
-             max_rate=250),
+             n=(24, 48), classes=(3, 6), machines=(4, 8), repeat=True),
 )}
 
 
-def instances(wl: Workload, seed: int, stream: int, count: int) -> list:
-    """``count`` instances of ``wl``'s shape; ``(seed, stream)`` fixes
-    them."""
+def instance(wl: Workload, seed: int, stream: int, i: int):
+    """Instance ``i`` of ``wl``'s shape in stream ``stream``;
+    ``(seed, stream, i)`` fixes it."""
     from repro.workloads.generators import uniform_instance
-    rng = np.random.default_rng([seed, stream])
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(wl.n[0], wl.n[1] + 1))
-        C = int(rng.integers(wl.classes[0], wl.classes[1] + 1))
-        m = int(rng.integers(wl.machines[0], wl.machines[1] + 1))
-        out.append(uniform_instance(rng, n, C, m, wl.slots))
-    return out
+    rng = np.random.default_rng([seed, stream, i])
+    n = int(rng.integers(wl.n[0], wl.n[1] + 1))
+    C = int(rng.integers(wl.classes[0], wl.classes[1] + 1))
+    m = int(rng.integers(wl.machines[0], wl.machines[1] + 1))
+    return uniform_instance(rng, n, C, m, SLOTS)
+
+
+def instances(wl: Workload, seed: int, stream: int, count: int) -> list:
+    """The first ``count`` instances of stream ``stream``."""
+    return [instance(wl, seed, stream, i) for i in range(count)]
 
 
 @dataclass
@@ -114,20 +116,16 @@ class Phase:
 # ---------------------------------------------------------------------- #
 
 class GridLoad:
-    """``Session(workers=2).solve_batch`` over pre-generated batches."""
+    """``Session(workers=2).solve_batch`` over distinct batches."""
 
-    def __init__(self, wl: Workload, seed: int, seconds: float) -> None:
-        self.wl, self.seed, self.seconds = wl, seed, seconds
+    def __init__(self, wl: Workload, seed: int) -> None:
+        self.wl, self.seed = wl, seed
         self.session = None
         self._calls = itertools.count()
 
     def setup(self, run_dir) -> None:
         from repro.api import Session
         wl = self.wl
-        calls = max(50, int(self.seconds * wl.max_rate))
-        pool = instances(wl, self.seed, 0, calls * wl.per_call)
-        self.batches = [pool[i:i + wl.per_call]
-                        for i in range(0, len(pool), wl.per_call)]
         self.session = Session(workers=WORKERS)
         # one instance per worker, every algorithm: each worker imports
         # and warms every solver the workload uses
@@ -146,9 +144,10 @@ class GridLoad:
         ph.t0, start = time.time(), time.perf_counter()
         deadline = start + seconds
         done = []
-        while time.perf_counter() < deadline:
+        while not done or time.perf_counter() < deadline:
             k = next(self._calls)
-            batch = self.batches[k % len(self.batches)]
+            batch = [instance(wl, self.seed, 0, k * INSTANCES_PER_CALL + j)
+                     for j in range(INSTANCES_PER_CALL)]
             algos = ([wl.algorithms[k % len(wl.algorithms)]] if wl.rotate
                      else list(wl.algorithms))
             cells = [(inst, a, {}) for inst in batch for a in algos]
@@ -163,32 +162,32 @@ class GridLoad:
                             batch, algorithms=algos)
             except Exception:   # noqa: BLE001 - counted as a failed op
                 reports = None
-            ph.latencies_s.append(time.perf_counter() - t)
+            dt = time.perf_counter() - t
+            ph.latencies_s.append(dt)
             ph.ops.append((cells, reports))
-            done.append((time.perf_counter(), len(reports or ())))
+            done.append((dt, len(reports or ())))
         ph.wall_s = time.perf_counter() - start
         ph.t1 = time.time()
-        ph.throughput_per_s = windowed_rate(start, done)
+        ph.throughput_per_s = windowed_rate(done)
         return ph
 
 
-#: Consecutive call groups a grid phase's throughput is the median of.
+#: Groups of consecutive calls a phase's throughput is the median of.
 RATE_WINDOWS = 10
 
 
-def windowed_rate(start: float, done: list[tuple[float, int]]) -> float:
+def windowed_rate(done: list[tuple[float, int]]) -> float:
     """Median over :data:`RATE_WINDOWS` groups of consecutive calls of
-    cells completed per second; ``done`` holds ``(end time, cells)`` per
-    call. A median of windows keeps a few slow seconds (another tenant
-    taking the CPU, one pathological cell) from moving the figure."""
+    work completed per second of call time; ``done`` holds
+    ``(seconds, completed)`` per call, so input generation between
+    calls is not counted. A median of windows keeps a few slow seconds
+    (another tenant taking the CPU, one pathological cell) from moving
+    the figure."""
     groups = min(RATE_WINDOWS, len(done))
     rates = []
-    prev_end = start
     for g in range(groups):
         chunk = done[g * len(done) // groups:(g + 1) * len(done) // groups]
-        end = chunk[-1][0]
-        rates.append(sum(c for _, c in chunk) / (end - prev_end))
-        prev_end = end
+        rates.append(sum(c for _, c in chunk) / sum(s for s, _ in chunk))
     return common.p50(rates)
 
 
@@ -204,29 +203,26 @@ class ServiceLoad:
       before the next; gives the latency samples;
     * bursts: ``Session(url).solve_batch`` of :data:`BURST_JOBS` jobs,
       which submits every job and then waits for each; gives
-      ``throughput_per_s`` (median over the bursts)."""
+      ``throughput_per_s`` by :func:`windowed_rate` over the bursts.
+      Pooling consecutive bursts averages out where each one's last poll
+      happens to land."""
 
-    def __init__(self, wl: Workload, seed: int, seconds: float) -> None:
-        self.wl, self.seed, self.seconds = wl, seed, seconds
+    def __init__(self, wl: Workload, seed: int) -> None:
+        self.wl, self.seed = wl, seed
         self.server = None
         self.store_dir = None
-        self._next = None
+        self._taken = itertools.count()
         self._lock = threading.Lock()
 
     def setup(self, run_dir) -> None:
         from launcher import ServerChild
         wl = self.wl
-        size = int(self.seconds * wl.max_rate)
         if wl.repeat:
-            pool = instances(wl, self.seed, 0, REPEAT_POOL)
-            order = np.random.default_rng([self.seed, 2]).integers(
-                0, REPEAT_POOL, size=size)
-            self._next = iter([pool[int(i)] for i in order])
             # set-up fills the result cache with every instance the
             # workload will resubmit
-            self._warm = pool
+            self._pool = instances(wl, self.seed, 0, REPEAT_POOL)
+            self._warm = self._pool
         else:
-            self._next = iter(instances(wl, self.seed, 0, size))
             self._warm = instances(wl, self.seed, 1, 2 * WORKERS)
         self.store_dir = tempfile.mkdtemp(prefix="store-", dir=run_dir)
         self.server = ServerChild(self.store_dir).start()
@@ -258,11 +254,14 @@ class ServiceLoad:
             self.server = None
 
     def _take(self):
+        """The next job's instance: a fresh one of stream 0, or on the
+        repeat workload a seeded draw from the pool solved in set-up."""
         with self._lock:
-            inst = next(self._next, None)
-        if inst is None:
-            raise RuntimeError("workload inputs exhausted; raise max_rate")
-        return inst
+            i = next(self._taken)
+        if self.wl.repeat:
+            rng = np.random.default_rng([self.seed, 2, i])
+            return self._pool[int(rng.integers(0, REPEAT_POOL))]
+        return instance(self.wl, self.seed, 0, i)
 
     def measure(self, seconds: float, recorder=None) -> Phase:
         from repro.api import RemoteBackend, Session
@@ -282,7 +281,9 @@ class ServiceLoad:
 
         def client_loop() -> None:
             client = client_cls(self.server.url)
-            while time.perf_counter() < loop_end:
+            first = True
+            while first or time.perf_counter() < loop_end:
+                first = False
                 inst = self._take()
                 cells = [(inst, a, {}) for a in algos]
                 t = time.perf_counter()
@@ -306,7 +307,7 @@ class ServiceLoad:
         # bursts
         session = (Session(self.server.url) if recorder is None else
                    Session(RemoteBackend(client_cls(self.server.url))))
-        rates = []
+        done = []
         burst_end = start + seconds
         for burst in itertools.count():
             if burst and time.perf_counter() >= burst_end:
@@ -328,11 +329,10 @@ class ServiceLoad:
                 ph.ops.append(([(inst, a, {}) for a in algos],
                                None if reports is None
                                else reports[j * k:(j + 1) * k]))
-            if reports is not None:
-                rates.append(len(batch) / dt)
+            done.append((dt, 0 if reports is None else len(batch)))
         ph.wall_s = time.perf_counter() - start
         ph.t1 = time.time()
-        ph.throughput_per_s = common.p50(rates) if rates else 0.0
+        ph.throughput_per_s = windowed_rate(done)
         ph.scrape = delta(before, scrape(ServiceClient(self.server.url)))
         return ph
 
