@@ -21,6 +21,9 @@ Stdout: a human-readable table, one ``env`` line with the run
 environment, and as its last line one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``. The exit code is
 0 only when every operation succeeded and every report was correct.
+
+The command measures in a child process of itself and exits only once
+every process that child started has ended (see :mod:`supervisor`).
 """
 
 from __future__ import annotations
@@ -339,6 +342,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--in-child", action="store_true",
+                    help=argparse.SUPPRESS)     # set by the supervisor
     args = ap.parse_args(argv)
     if args.seconds <= 0:
         ap.error("--seconds must be positive")
@@ -381,4 +386,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    if "--in-child" in sys.argv[1:]:
+        sys.exit(main())
+    from supervisor import supervise
+    sys.exit(supervise([sys.executable, str(Path(__file__).resolve()),
+                        "--in-child", *sys.argv[1:]]))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -166,3 +167,19 @@ def test_refuses_to_run_without_the_program(tmp_path):
                  script=tmp_path / "e2ebench" / "run.py")
     assert proc.returncode != 0
     assert "correct" not in proc.stdout
+
+
+def test_supervisor_waits_for_the_processes_its_child_leaves(tmp_path):
+    """The command returns only after every orphan of its measuring
+    child has ended, as the resource tracker of the shm transport is."""
+    pid_file = tmp_path / "orphan.pid"
+    child = ("import subprocess, sys; "
+             "p = subprocess.Popen(['sleep', '0.5']); "
+             f"open({str(pid_file)!r}, 'w').write(str(p.pid))")
+    driver = ("import sys; from supervisor import supervise; "
+              f"sys.exit(supervise([sys.executable, '-c', {child!r}]))")
+    proc = subprocess.run([sys.executable, "-c", driver], cwd=BENCH_DIR,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
