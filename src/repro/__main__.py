@@ -799,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     pu.add_argument("--timeout", type=float, default=None,
                     help="per-run timeout applied server-side")
     pu.add_argument("--wait", action="store_true",
-                    help="poll until done and print the reports")
+                    help="wait until done and print the reports")
     pu.add_argument("--wait-timeout", type=float, default=300.0,
                     help="give up waiting after this many seconds")
     pu.set_defaults(func=_cmd_submit)

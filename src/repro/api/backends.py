@@ -162,9 +162,10 @@ class RemoteBackend:
     """Runs requests on a ``/v1`` scheduling service.
 
     ``solve`` uses the synchronous ``POST /v1/solve`` endpoint; batches
-    are submitted as one job per instance and polled to completion, so
-    they land in the service's persistent queue and result cache like
-    any other client's work.
+    are submitted as one job per instance, so they land in the service's
+    persistent queue and result cache like any other client's work.
+    ``solve_batch`` waits on each job with ``ServiceClient.wait``;
+    ``stream`` sweeps the pending jobs, ``poll`` seconds apart.
     """
 
     name = "remote"
@@ -189,8 +190,7 @@ class RemoteBackend:
         reports: list[SolveReport] = []
         for job in self._submit(batch):
             reports.extend(self.client.wait(job["id"],
-                                            timeout=self.wait_timeout,
-                                            poll=self.poll))
+                                            timeout=self.wait_timeout))
         return reports
 
     def stream(self, batch: BatchRequest) -> Iterator[SolveReport]:

@@ -34,6 +34,8 @@ from ..core.instance import Instance
 from ..engine.report import SolveReport
 from ..io import instance_to_dict
 from ..obs.trace import TRACE_HEADER, current_trace_id
+from .server import LONG_POLL_MAX_S
+from .store import TERMINAL_STATUSES
 
 if TYPE_CHECKING:    # pragma: no cover - typing only
     from ..api import SolveRequest
@@ -262,29 +264,32 @@ class ServiceClient:
             code=("job_quarantined" if status == "quarantined"
                   else "job_failed"))
 
-    def wait(self, job_id: str, *, timeout: float = 60.0,
-             poll: float = 0.05, poll_max: float = 1.0) -> list[SolveReport]:
-        """Poll until the job finishes; return its reports.
+    def wait(self, job_id: str, *,
+             timeout: float = 60.0) -> list[SolveReport]:
+        """Block until the job finishes; return its reports.
 
-        The poll interval starts at ``poll`` and backs off geometrically
-        (with jitter) up to ``poll_max``, so long jobs are not hammered
-        at submission cadence. Raises :class:`TimeoutError` if the job
-        is still pending after ``timeout`` seconds, and
+        No sleeping between looks: while the job is still queued or
+        running, one long-poll ``GET /v1/jobs/{id}?wait=`` lets the
+        server hold the request until the job ends (at most
+        ``LONG_POLL_MAX_S`` per request). Status and reports are read
+        only through :meth:`job` and :meth:`reports`, so a subclass
+        hooking those sees every step. Raises :class:`TimeoutError` if
+        the job is still pending after ``timeout`` seconds, and
         :class:`ServiceError` (status 500) if the job itself failed or
         was quarantined server-side.
         """
         deadline = time.monotonic() + timeout
-        interval = poll
         while True:
             job = self.job(job_id)
             if job["status"] == "done":
                 return self.reports(job_id)
-            if job["status"] in ("failed", "quarantined"):
+            if job["status"] in TERMINAL_STATUSES:
                 raise self.job_failure(job)
-            now = time.monotonic()
-            if now >= deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise TimeoutError(
                     f"job {job_id} still {job['status']} after {timeout}s")
-            time.sleep(min(random.uniform(interval * 0.5, interval),
-                           max(0.0, deadline - now)))
-            interval = min(interval * 1.6, poll_max)
+            hold = min(remaining, LONG_POLL_MAX_S)
+            # the answer is dropped: the job() call above re-reads it
+            self._request("GET", f"/jobs/{job_id}?wait={hold:.3f}",
+                          transport_timeout=max(self.timeout, hold + 10.0))

@@ -19,12 +19,13 @@ re-exported here unchanged for existing callers.
 
 from __future__ import annotations
 
+import time
 from typing import Any, Iterable, Mapping
 
 from ..core.instance import Instance
 from ..obs.metrics import REGISTRY
 from ..obs.trace import current_trace_id
-from .store import JobRecord
+from .store import TERMINAL_STATUSES, JobRecord
 from .worker import (_DRAIN_SECONDS, _DRAINER_RESTARTS, JOB_RETRIES,
                      JOBS_ACTIVE, JOBS_COMPLETED, LEASE_RECLAIMS,
                      QUEUE_DEPTH, WORKER_CLAIMS, WorkerNode, retryable)
@@ -35,6 +36,11 @@ __all__ = ["JobQueue", "QUEUE_DEPTH", "JOBS_ACTIVE", "JOBS_COMPLETED",
 
 _JOBS_SUBMITTED = REGISTRY.counter(
     "repro_jobs_submitted_total", "Jobs accepted into the queue.")
+
+#: Longest a :meth:`JobQueue.wait_job` sleeps between reads of the job:
+#: embedded drainers wake it at once, this bounds how late it sees a job
+#: an external ``repro worker`` process finished.
+WAIT_RECHECK_S = 0.025
 
 
 class JobQueue:
@@ -147,6 +153,25 @@ class JobQueue:
         QUEUE_DEPTH.set(self.store.count_jobs("queued"))
         self._node.notify()
         return job
+
+    def wait_job(self, job_id: str, timeout: float) -> JobRecord | None:
+        """The job's record once it reaches a terminal status, or as it
+        stands when ``timeout`` seconds pass or the queue stops (``None``
+        for an unknown id). Re-reads the job whenever an embedded drainer
+        ends a job, and at least every :data:`WAIT_RECHECK_S`."""
+        deadline = time.monotonic() + timeout
+        while True:
+            # the mark is read before the job, so a job ending between
+            # the two reads cuts the wait short instead of being missed
+            mark = self._node.ended()
+            job = self.store.get_job(job_id)
+            remaining = deadline - time.monotonic()
+            if job is None or job.status in TERMINAL_STATUSES \
+                    or remaining <= 0:
+                return job
+            if not self._node.wait_ended(mark,
+                                         min(remaining, WAIT_RECHECK_S)):
+                return job      # stopping: leave the store alone
 
     def depth(self) -> int:
         """Jobs waiting in the store (not counting in-flight ones)."""

@@ -7,7 +7,10 @@ The stable, versioned surface lives under ``/v1``::
                               canonical request plus its SolveReport)
     POST /v1/jobs             submit one instance x algorithms job
     GET  /v1/jobs             paginated jobs (?status=&limit=&offset=)
-    GET  /v1/jobs/{id}        job status + timestamps
+    GET  /v1/jobs/{id}        job status + timestamps (?wait=<seconds>
+                              holds the answer until the job is done,
+                              failed or quarantined, for at most
+                              LONG_POLL_MAX_S)
     GET  /v1/jobs/{id}/reports the job's SolveReports (?format=ndjson
                               or Accept: application/x-ndjson streams
                               one report per line)
@@ -93,7 +96,8 @@ from .storage import StoreBackend, open_store
 from .store import JOB_STATUSES
 
 __all__ = ["SchedulingService", "serve",
-           "API_VERSION", "MAX_BODY_BYTES", "SYNC_SOLVE_MAX_JOBS"]
+           "API_VERSION", "MAX_BODY_BYTES", "SYNC_SOLVE_MAX_JOBS",
+           "LONG_POLL_MAX_S"]
 
 NDJSON = "application/x-ndjson"
 
@@ -106,6 +110,10 @@ MAX_BODY_BYTES = 1 << 20
 #: ``POST /v1/solve`` is for interactive-scale instances; bigger ones
 #: must go through the asynchronous job queue.
 SYNC_SOLVE_MAX_JOBS = 512
+
+#: Longest ``GET /v1/jobs/{id}?wait=`` holds a request; larger waits
+#: are clamped to it, and the client long-polls in steps of it.
+LONG_POLL_MAX_S = 10.0
 
 #: Jobs-per-page bounds for ``GET /v1/jobs``.
 DEFAULT_PAGE_LIMIT = 50
@@ -422,7 +430,7 @@ class _Handler(BaseHTTPRequestHandler):
             return self._get_jobs(params)
         parts = sub.lstrip("/").split("/")
         if parts[0] == "jobs" and len(parts) == 2:
-            return self._get_job(parts[1])
+            return self._get_job(parts[1], params)
         if parts[0] == "jobs" and len(parts) == 3 and parts[2] == "reports":
             return self._get_reports(parts[1], params)
         if parts[0] == "results" and len(parts) == 2:
@@ -497,8 +505,22 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json({"request": request.to_dict(),
                          "report": report.to_dict()})
 
-    def _get_job(self, job_id: str) -> None:
-        job = self.server.service.store.get_job(job_id)
+    def _get_job(self, job_id: str, params: dict[str, str]) -> None:
+        raw = params.get("wait", "0")
+        try:
+            wait = float(raw)
+        except ValueError:
+            wait = float("nan")
+        if not wait >= 0:       # negative, nan or not a number at all
+            raise _bad("invalid_request",
+                       f"'wait' must be a number of seconds >= 0, "
+                       f"got {raw!r}")
+        service = self.server.service
+        if wait > 0:
+            job = service.queue.wait_job(job_id,
+                                         min(wait, LONG_POLL_MAX_S))
+        else:
+            job = service.store.get_job(job_id)
         if job is None:
             raise _ApiError(404, "not_found", f"no job {job_id!r}")
         self._send_json(job.to_dict())

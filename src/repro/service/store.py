@@ -21,11 +21,12 @@ table found in an old database is migrated into the shards on open.
 Concurrency. The store is accessed from many threads (HTTP handlers +
 worker-node drainers) and, in fleet topologies, from many *processes*.
 File-backed stores open one connection per thread (WAL journal +
-``busy_timeout`` + ``BEGIN IMMEDIATE`` write transactions), so readers
-never block behind writers and concurrent writers queue on SQLite's own
-lock instead of racing; ``:memory:`` stores — where every connection
-would see a different empty database — keep the legacy single shared
-connection behind an RLock.
+``busy_timeout`` + ``BEGIN IMMEDIATE`` write transactions) and close it
+when that thread exits, so readers never block behind writers,
+concurrent writers queue on SQLite's own lock instead of racing, and
+the connection count stays bounded by the live threads. ``:memory:``
+stores — where every connection would see a different empty database —
+keep the legacy single shared connection behind an RLock.
 
 This is the reference :class:`~repro.service.storage.StoreBackend`; the
 in-memory twin used by tests and chaos lives in
@@ -41,6 +42,7 @@ import sqlite3
 import threading
 import time
 import uuid
+import weakref
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping
 
@@ -171,6 +173,26 @@ def _row_to_record(row: sqlite3.Row) -> JobRecord:
         claimed_by=row["claimed_by"])
 
 
+class _ConnHolder:
+    """A thread's SQLite connection, held through the store's
+    thread-local so that the thread's exit drops the last reference and
+    a ``weakref.finalize`` closes the connection (``sqlite3.Connection``
+    itself cannot be weakly referenced)."""
+
+    __slots__ = ("conn", "__weakref__")
+
+    def __init__(self, conn: sqlite3.Connection) -> None:
+        self.conn = conn
+
+
+def _release_conn(conns: set, lock: threading.RLock,
+                  conn: sqlite3.Connection) -> None:
+    with lock:
+        conns.discard(conn)
+    with contextlib.suppress(sqlite3.ProgrammingError):
+        conn.close()
+
+
 class _Rollback(Exception):
     """Raised inside a :meth:`JobStore._write` block to abort the
     transaction without propagating — the conditional-UPDATE-lost path."""
@@ -191,7 +213,9 @@ class JobStore:
             or self.path.startswith("file::memory:")
         self._lock = threading.RLock()
         self._tls = threading.local()
-        self._conns: list[sqlite3.Connection] = []
+        # the live connections, so close() reaches them from any thread;
+        # a thread's own one leaves this set when the thread exits
+        self._conns: set[sqlite3.Connection] = set()
         self._closed = False
         if self._serial:
             # every connection to :memory: is its own empty database, so
@@ -224,17 +248,20 @@ class JobStore:
             conn.execute("PRAGMA busy_timeout=10000")
         conn.execute("PRAGMA synchronous=NORMAL")
         with self._lock:
-            self._conns.append(conn)
+            self._conns.add(conn)
         return conn
 
     def _connection(self) -> sqlite3.Connection:
         if self._serial:
             return self._shared
-        conn = getattr(self._tls, "conn", None)
-        if conn is None:
-            conn = self._connect()
-            self._tls.conn = conn
-        return conn
+        holder = getattr(self._tls, "holder", None)
+        if holder is None:
+            # every HTTP request runs on a fresh thread: without the
+            # finalizer each one would leave an open connection behind
+            holder = self._tls.holder = _ConnHolder(self._connect())
+            weakref.finalize(holder, _release_conn, self._conns,
+                             self._lock, holder.conn)
+        return holder.conn
 
     @contextlib.contextmanager
     def _read(self):
@@ -299,7 +326,9 @@ class JobStore:
             if self._closed:
                 return
             self._closed = True
-            for conn in self._conns:
+            # a copy: a finalizer running on this thread mid-loop would
+            # change the set under the iteration
+            for conn in list(self._conns):
                 with contextlib.suppress(sqlite3.ProgrammingError):
                     conn.close()
             self._conns.clear()

@@ -167,6 +167,7 @@ class WorkerNode:
         self._supervisor: threading.Thread | None = None
         self._inflight: set[str] = set()
         self._active = 0
+        self._ended = 0
         self._stopping = False
         self._names = itertools.count()
 
@@ -245,6 +246,21 @@ class WorkerNode:
         with self._cv:
             return self._active
 
+    def ended(self) -> int:
+        """How many jobs this node's drainers have ended, whatever the
+        outcome — the mark :meth:`wait_ended` waits past."""
+        with self._cv:
+            return self._ended
+
+    def wait_ended(self, mark: int, timeout: float) -> bool:
+        """Block until a drainer ends a job after ``mark`` was read, the
+        node stops, or ``timeout`` seconds pass. Returns False once the
+        node is stopping."""
+        with self._cv:
+            self._cv.wait_for(
+                lambda: self._stopping or self._ended != mark, timeout)
+            return not self._stopping
+
     def join(self, timeout: float | None = None) -> bool:
         """Block until the store holds no claimable work and this node is
         idle. Other nodes' in-flight jobs are invisible here — fleet
@@ -300,6 +316,7 @@ class WorkerNode:
                 with self._cv:
                     self._inflight.discard(job.id)
                     self._active -= 1
+                    self._ended += 1
                     JOBS_ACTIVE.set(self._active)
                     self._cv.notify_all()
 

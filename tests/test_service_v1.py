@@ -1,9 +1,12 @@
 """Tests for the versioned ``/v1`` HTTP surface: the error envelope,
 pagination, the synchronous solve endpoint, deprecated legacy aliases,
-and the remote backend's byte-identical request round-trip."""
+the long-poll ``?wait=`` on job status and the client's wait built on
+it, and the remote backend's byte-identical request round-trip."""
 
 import json
 import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -12,7 +15,10 @@ import pytest
 from repro import Instance
 from repro.__main__ import main
 from repro.api import Session, SolveRequest, SolverQuery
-from repro.service import SchedulingService, ServiceClient, ServiceError
+from repro.obs.metrics import parse_exposition
+from repro.service import (SchedulingService, ServiceClient, ServiceError,
+                           WorkerNode, open_store)
+from repro.service import server as server_mod
 
 
 @pytest.fixture
@@ -43,6 +49,38 @@ def _raw(service, method, path, body=None, headers=None):
             return resp.status, json.loads(resp.read()), dict(resp.headers)
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read()), dict(exc.headers)
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """Holds every job a drainer runs until the test sets the event.
+    Request it after ``service``: it is torn down first, so the service
+    never waits on a closed gate at shutdown."""
+    event = threading.Event()
+    solve_batch = Session.solve_batch
+
+    def held(self, *args, **kwargs):
+        event.wait(30)
+        return solve_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr("repro.api.session.Session.solve_batch", held)
+    yield event
+    event.set()
+
+
+def _in_thread(fn, *args):
+    """Run ``fn`` on a thread; returns the thread and a dict that gets
+    the result under ``"value"`` and its ``time.monotonic()`` under
+    ``"at"``."""
+    out: dict = {}
+
+    def run():
+        out["value"] = fn(*args)
+        out["at"] = time.monotonic()
+
+    t = threading.Thread(target=run)
+    t.start()
+    return t, out
 
 
 def _raw_bytes(service, method, path, data):
@@ -370,3 +408,151 @@ class TestSubmitExitCode:
         assert rv == 1
         err = capsys.readouterr().err
         assert "induced drainer failure" in err
+
+
+# --------------------------------------------------------------------- #
+# long-poll job status and the client's wait
+# --------------------------------------------------------------------- #
+
+class TestLongPoll:
+    def test_returns_when_the_job_ends_not_at_the_deadline(
+            self, service, gate, client, inst):
+        jid = client.submit(inst, ["lpt"])["id"]
+        t, out = _in_thread(_raw, service, "GET", f"/v1/jobs/{jid}?wait=5")
+        time.sleep(0.3)
+        assert t.is_alive()         # held while the job runs
+        opened = time.monotonic()
+        gate.set()
+        t.join(10)
+        status, body, _ = out["value"]
+        assert status == 200 and body["status"] == "done"
+        assert out["at"] - opened < 0.5
+
+    def test_deadline_returns_the_unfinished_record(self, service, gate,
+                                                    client, inst):
+        jid = client.submit(inst, ["lpt"])["id"]
+        t0 = time.monotonic()
+        status, body, _ = _raw(service, "GET", f"/v1/jobs/{jid}?wait=0.3")
+        elapsed = time.monotonic() - t0
+        assert status == 200
+        assert body["id"] == jid and body["status"] in ("queued", "running")
+        assert 0.3 <= elapsed < 3.0
+
+    @pytest.mark.parametrize("wait", ["-1", "soon", "nan", ""])
+    def test_bad_wait_is_400(self, service, client, inst, wait):
+        jid = client.submit(inst, ["lpt"])["id"]
+        status, body, _ = _raw(service, "GET",
+                               f"/v1/jobs/{jid}?wait={wait}")
+        assert status == 400
+        assert body["error"]["code"] == "invalid_request"
+        assert "'wait'" in body["error"]["message"]
+
+    def test_unknown_job_is_404_at_once(self, service):
+        t0 = time.monotonic()
+        status, body, _ = _raw(service, "GET", "/v1/jobs/nope?wait=5")
+        assert status == 404 and body["error"]["code"] == "not_found"
+        assert time.monotonic() - t0 < 3.0
+
+    def test_wait_is_clamped_to_the_maximum(self, tmp_path, inst,
+                                            monkeypatch):
+        monkeypatch.setattr(server_mod, "LONG_POLL_MAX_S", 0.3)
+        svc = SchedulingService(tmp_path / "clamp.db", port=0,
+                                drainers=0).start()     # accept-only
+        try:
+            jid = ServiceClient(svc.url).submit(inst, ["lpt"])["id"]
+            t0 = time.monotonic()
+            status, body, _ = _raw(svc, "GET", f"/v1/jobs/{jid}?wait=1000")
+            assert status == 200 and body["status"] == "queued"
+            assert time.monotonic() - t0 < 3.0
+        finally:
+            svc.shutdown()
+
+    def test_sees_jobs_finished_by_an_external_worker(self, tmp_path,
+                                                      inst):
+        db = tmp_path / "fleet.db"
+        svc = SchedulingService(db, port=0, drainers=0).start()
+        store = open_store(f"sqlite:///{db}")
+        node = WorkerNode(store, workers=1).start()
+        try:
+            client = ServiceClient(svc.url)
+            jid = client.submit(inst, ["lpt", "greedy"])["id"]
+            reports = client.wait(jid, timeout=30)
+            assert sorted(r.algorithm for r in reports) == ["greedy", "lpt"]
+            assert client.job(jid)["claimed_by"] == node.name
+        finally:
+            node.stop()
+            store.close()
+            svc.shutdown()
+
+    def test_shutdown_wakes_a_long_poll_in_flight(self, tmp_path, inst):
+        svc = SchedulingService(tmp_path / "stop.db", port=0,
+                                drainers=0).start()
+        jid = ServiceClient(svc.url).submit(inst, ["lpt"])["id"]
+        t, out = _in_thread(
+            _raw, svc, "GET",
+            f"/v1/jobs/{jid}?wait={server_mod.LONG_POLL_MAX_S}")
+        time.sleep(0.3)
+        assert t.is_alive()
+        t0 = time.monotonic()
+        svc.shutdown()
+        assert time.monotonic() - t0 < 2.0
+        t.join(5)
+        assert not t.is_alive()
+        status, body, _ = out["value"]
+        assert status == 200 and body["status"] == "queued"
+
+
+def _requests_served() -> float:
+    """``repro_http_requests_total`` summed over every route but the
+    metrics scrape itself (the registry is process-wide, so this counts
+    the in-process test server's requests)."""
+    from repro.obs.metrics import REGISTRY
+    _, samples = parse_exposition(REGISTRY.render())
+    return sum(v for (name, labels), v in samples.items()
+               if name == "repro_http_requests_total"
+               and ("route", "/metrics") not in labels)
+
+
+class TestClientWait:
+    def test_server_side_failure_raises_without_sleeping(
+            self, service, client, inst, monkeypatch):
+        monkeypatch.setattr(
+            "repro.api.session.Session.solve_batch",
+            lambda self, *a, **k: (_ for _ in ()).throw(
+                RuntimeError("induced drainer failure")))
+        me = threading.current_thread()
+        slept = []
+        sleep = time.sleep
+
+        def spy(seconds):
+            if threading.current_thread() is me:
+                slept.append(seconds)
+            sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", spy)
+        jid = client.submit(inst, ["lpt"])["id"]
+        with pytest.raises(ServiceError) as err:
+            client.wait(jid, timeout=30)
+        assert err.value.code == "job_failed"
+        assert "induced drainer failure" in err.value.message
+        assert slept == []
+
+    def test_wait_costs_at_most_four_requests(self, service, gate, client,
+                                              inst):
+        # the job is held 0.3 s: a polling client would look many times
+        jid = client.submit(inst, ["lpt"])["id"]
+        before = _requests_served()
+        opener = threading.Timer(0.3, gate.set)
+        opener.start()
+        reports = client.wait(jid, timeout=30)
+        opener.join()
+        assert [r.algorithm for r in reports] == ["lpt"]
+        # status, one long-poll, status again, reports
+        assert _requests_served() - before <= 4
+
+    def test_timeout_still_raises(self, service, gate, client, inst):
+        jid = client.submit(inst, ["lpt"])["id"]
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError, match="still"):
+            client.wait(jid, timeout=0.3)
+        assert time.monotonic() - t0 < 3.0

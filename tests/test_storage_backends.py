@@ -207,10 +207,29 @@ class TestSqliteConcurrency:
             t.join()
         assert sorted(wins["a"] + wins["b"]) == sorted(j.id for j in jobs)
         assert not set(wins["a"]) & set(wins["b"])
+        # one thread may win every claim, leaving the other no row
         total = b.claims_by_worker()
-        assert total["a"] + total["b"] == 50
+        assert total.get("a", 0) + total.get("b", 0) == 50
         a.close()
         b.close()
+
+    def test_thread_connections_close_when_threads_exit(self, tmp_path,
+                                                         inst):
+        # an HTTP server runs every request on a fresh thread; the store
+        # must not keep one open connection per thread that ever read it
+        store = JobStore(tmp_path / "threads.db")
+        job = store.create_job(inst, [("lpt", {})])
+        for _ in range(50):
+            t = threading.Thread(target=store.get_job, args=(job.id,))
+            t.start()
+            t.join()
+        assert len(store._conns) <= 2
+        # close() still reaches the connections that are live
+        conn = store._connection()
+        store.close()
+        assert not store._conns
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
 
     def test_serial_memory_mode_still_works(self, inst):
         # ":memory:" cannot use per-thread connections (each one would be
