@@ -34,6 +34,7 @@ from ..core.instance import Instance
 from ..engine.report import SolveReport
 from ..io import instance_to_dict
 from ..obs.trace import TRACE_HEADER, current_trace_id
+from .queue import WAIT_RECHECK_S
 from .server import LONG_POLL_MAX_S
 from .store import TERMINAL_STATUSES
 
@@ -268,17 +269,21 @@ class ServiceClient:
              timeout: float = 60.0) -> list[SolveReport]:
         """Block until the job finishes; return its reports.
 
-        No sleeping between looks: while the job is still queued or
-        running, one long-poll ``GET /v1/jobs/{id}?wait=`` lets the
-        server hold the request until the job ends (at most
-        ``LONG_POLL_MAX_S`` per request). Status and reports are read
-        only through :meth:`job` and :meth:`reports`, so a subclass
-        hooking those sees every step. Raises :class:`TimeoutError` if
+        While the job is still queued or running, one long-poll
+        ``GET /v1/jobs/{id}?wait=`` lets the server hold the request
+        until the job ends (at most ``LONG_POLL_MAX_S`` per request), so
+        there is no sleep between looks. Only when that request comes
+        back early with the job unfinished (a server that ignores
+        ``?wait``, as older ones do, or one that is stopping) does it
+        pause, for a jittered delay growing from 25 ms to 1 s. Status
+        and reports are read only through :meth:`job` and
+        :meth:`reports`, so a subclass hooking those sees every step. Raises :class:`TimeoutError` if
         the job is still pending after ``timeout`` seconds, and
         :class:`ServiceError` (status 500) if the job itself failed or
         was quarantined server-side.
         """
         deadline = time.monotonic() + timeout
+        pause = WAIT_RECHECK_S
         while True:
             job = self.job(job_id)
             if job["status"] == "done":
@@ -290,6 +295,15 @@ class ServiceClient:
                 raise TimeoutError(
                     f"job {job_id} still {job['status']} after {timeout}s")
             hold = min(remaining, LONG_POLL_MAX_S)
-            # the answer is dropped: the job() call above re-reads it
-            self._request("GET", f"/jobs/{job_id}?wait={hold:.3f}",
-                          transport_timeout=max(self.timeout, hold + 10.0))
+            asked = time.monotonic()
+            # the answer only decides whether to pause: the job() call
+            # above re-reads the status
+            held = self._request(
+                "GET", f"/jobs/{job_id}?wait={hold:.3f}",
+                transport_timeout=max(self.timeout, hold + 10.0))
+            if held["status"] not in TERMINAL_STATUSES \
+                    and time.monotonic() - asked < hold / 2:
+                # unfinished and answered early: not held, so pause
+                time.sleep(min(pause * random.uniform(0.5, 1.0),
+                               max(0.0, deadline - time.monotonic())))
+                pause = min(2 * pause, 1.0)

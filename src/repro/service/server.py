@@ -515,12 +515,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise _bad("invalid_request",
                        f"'wait' must be a number of seconds >= 0, "
                        f"got {raw!r}")
-        service = self.server.service
-        if wait > 0:
-            job = service.queue.wait_job(job_id,
-                                         min(wait, LONG_POLL_MAX_S))
-        else:
-            job = service.store.get_job(job_id)
+        job = self.server.service.queue.wait_job(
+            job_id, min(wait, LONG_POLL_MAX_S))
         if job is None:
             raise _ApiError(404, "not_found", f"no job {job_id!r}")
         self._send_json(job.to_dict())

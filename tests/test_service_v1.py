@@ -16,8 +16,9 @@ from repro import Instance
 from repro.__main__ import main
 from repro.api import Session, SolveRequest, SolverQuery
 from repro.obs.metrics import parse_exposition
-from repro.service import (SchedulingService, ServiceClient, ServiceError,
-                           WorkerNode, open_store)
+from repro.service import (JobQueue, SchedulingService, ServiceClient,
+                           ServiceError, WorkerNode, open_store)
+from repro.service import queue as queue_mod
 from repro.service import server as server_mod
 
 
@@ -416,7 +417,10 @@ class TestSubmitExitCode:
 
 class TestLongPoll:
     def test_returns_when_the_job_ends_not_at_the_deadline(
-            self, service, gate, client, inst):
+            self, service, gate, client, inst, monkeypatch):
+        # with no periodic re-read inside the bound, only the drainer's
+        # wake-up can end the hold in time
+        monkeypatch.setattr(queue_mod, "WAIT_RECHECK_S", 5.0)
         jid = client.submit(inst, ["lpt"])["id"]
         t, out = _in_thread(_raw, service, "GET", f"/v1/jobs/{jid}?wait=5")
         time.sleep(0.3)
@@ -503,14 +507,17 @@ class TestLongPoll:
 
 
 def _requests_served() -> float:
-    """``repro_http_requests_total`` summed over every route but the
-    metrics scrape itself (the registry is process-wide, so this counts
-    the in-process test server's requests)."""
+    """``repro_http_requests_total`` summed over the routes ``wait``
+    reads: a job's status and its reports (the registry is
+    process-wide, so this counts the in-process test server's
+    requests). The submit is left out: the server counts a request
+    after answering it, so its count may land after ``submit`` returns."""
     from repro.obs.metrics import REGISTRY
     _, samples = parse_exposition(REGISTRY.render())
     return sum(v for (name, labels), v in samples.items()
                if name == "repro_http_requests_total"
-               and ("route", "/metrics") not in labels)
+               and (("route", "/jobs/{id}") in labels
+                    or ("route", "/jobs/{id}/reports") in labels))
 
 
 class TestClientWait:
@@ -549,6 +556,24 @@ class TestClientWait:
         assert [r.algorithm for r in reports] == ["lpt"]
         # status, one long-poll, status again, reports
         assert _requests_served() - before <= 4
+
+    def test_backs_off_against_a_server_that_ignores_wait(
+            self, service, gate, client, inst, monkeypatch):
+        # answer every GET /v1/jobs/{id} at once, as servers from before
+        # the long-poll do
+        monkeypatch.setattr(JobQueue, "wait_job",
+                            lambda self, job_id, timeout:
+                            self.store.get_job(job_id))
+        jid = client.submit(inst, ["lpt"])["id"]
+        before = _requests_served()
+        opener = threading.Timer(0.3, gate.set)
+        opener.start()
+        reports = client.wait(jid, timeout=30)
+        opener.join()
+        assert [r.algorithm for r in reports] == ["lpt"]
+        # pauses of 12-25, 25-50, 50-100, 100-200 and 200-400 ms cover
+        # the 0.3 s hold within six status/long-poll pairs plus reports
+        assert _requests_served() - before <= 16
 
     def test_timeout_still_raises(self, service, gate, client, inst):
         jid = client.submit(inst, ["lpt"])["id"]
