@@ -8,7 +8,7 @@ same convention :mod:`repro.io` uses for schedules.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -80,7 +80,9 @@ class SolveReport:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        # shallow, in field order: dataclasses.asdict deep-copies every
+        # value, and the values it would copy are immutable
+        d = {name: getattr(self, name) for name in _FIELD_NAMES}
         d["makespan"] = _num_str(self.makespan)
         d["guess"] = _num_str(self.guess)
         d["extra"] = dict(self.extra)
@@ -93,3 +95,6 @@ class SolveReport:
         d["guess"] = _num_parse(d.get("guess"))
         d["extra"] = dict(d.get("extra") or {})
         return SolveReport(**d)
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(SolveReport))

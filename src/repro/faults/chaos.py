@@ -200,7 +200,7 @@ def run_chaos(seed: int = 7, jobs: int = 50,
 
     from ..engine.pool import shutdown_pool
     from ..service.server import SchedulingService
-    from ..service.queue import JOB_RETRIES, LEASE_RECLAIMS
+    from ..service.worker import JOB_RETRIES, LEASE_RECLAIMS
     from ..engine.pool import _POOL_REBUILDS
 
     if external_workers and store_url is not None \

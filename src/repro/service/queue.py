@@ -13,8 +13,7 @@ threads or as standalone ``repro worker`` processes, and the store's
 :class:`JobQueue` remains the embedded-mode API: submission (persist +
 wake a drainer), recovery-on-start, and lifecycle (``start`` / ``stop``
 / ``join``) — a thin facade delegating execution to one private
-``WorkerNode``. The drainer metrics and the retry/backoff helpers are
-re-exported here unchanged for existing callers.
+``WorkerNode``; the drainer metrics live in :mod:`repro.service.worker`.
 """
 
 from __future__ import annotations
@@ -26,13 +25,9 @@ from ..core.instance import Instance
 from ..obs.metrics import REGISTRY
 from ..obs.trace import current_trace_id
 from .store import TERMINAL_STATUSES, JobRecord
-from .worker import (_DRAIN_SECONDS, _DRAINER_RESTARTS, JOB_RETRIES,
-                     JOBS_ACTIVE, JOBS_COMPLETED, LEASE_RECLAIMS,
-                     QUEUE_DEPTH, WORKER_CLAIMS, WorkerNode, retryable)
+from .worker import WorkerNode, retryable
 
-__all__ = ["JobQueue", "QUEUE_DEPTH", "JOBS_ACTIVE", "JOBS_COMPLETED",
-           "JOB_RETRIES", "LEASE_RECLAIMS", "WORKER_CLAIMS",
-           "_DRAIN_SECONDS", "_DRAINER_RESTARTS"]
+__all__ = ["JobQueue"]
 
 _JOBS_SUBMITTED = REGISTRY.counter(
     "repro_jobs_submitted_total", "Jobs accepted into the queue.")
@@ -114,7 +109,6 @@ class JobQueue:
         Returns the number of jobs re-enqueued from a previous process."""
         recovered = self.store.recover_incomplete()
         self._node.start()
-        QUEUE_DEPTH.set(self.store.count_jobs("queued"))
         self._node.notify()
         return len(recovered)
 
@@ -150,7 +144,6 @@ class JobQueue:
                                     priority=priority, timeout=timeout,
                                     trace_id=current_trace_id(), **kwargs)
         _JOBS_SUBMITTED.inc()
-        QUEUE_DEPTH.set(self.store.count_jobs("queued"))
         self._node.notify()
         return job
 

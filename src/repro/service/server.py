@@ -91,9 +91,10 @@ from ..obs.trace import (TRACE_HEADER, is_valid_trace_id, new_trace_id,
                          reset_trace_id, set_trace_id)
 from ..registry import (NoMatchingSolverError, UnknownSolverError,
                         get_solver, list_solvers, suggest_solvers)
-from .queue import JOBS_ACTIVE, QUEUE_DEPTH, JobQueue
+from .queue import JobQueue
 from .storage import StoreBackend, open_store
 from .store import JOB_STATUSES
+from .worker import JOBS_ACTIVE
 
 __all__ = ["SchedulingService", "serve",
            "API_VERSION", "MAX_BODY_BYTES", "SYNC_SOLVE_MAX_JOBS",
@@ -121,6 +122,9 @@ MAX_PAGE_LIMIT = 500
 
 _log = get_logger("repro.service.server")
 
+_QUEUE_DEPTH = REGISTRY.gauge(
+    "repro_queue_depth", "Jobs waiting in the queue (in-flight excluded; "
+    "refreshed when /v1/metrics or /v1/healthz is read).")
 _STORE_JOBS = REGISTRY.gauge(
     "repro_store_jobs", "Jobs in the backing store, by status "
     "(refreshed when /v1/metrics is scraped).", labelnames=("status",))
@@ -298,7 +302,8 @@ class _Handler(BaseHTTPRequestHandler):
             # every /v1 JSON body carries the request's trace id; a job
             # dict that already has its own (submission-time) id keeps it
             payload["trace_id"] = self._trace_id
-        self._send_payload(json.dumps(payload, indent=2).encode() + b"\n",
+        # no indent: any indent switches json to its pure-Python encoder
+        self._send_payload(json.dumps(payload).encode() + b"\n",
                            "application/json", status)
 
     def _send_api_error(self, exc: _ApiError) -> None:
@@ -630,15 +635,17 @@ class SchedulingService:
         hits = CACHE_HITS.value(cache="service")
         misses = CACHE_MISSES.value(cache="service")
         lookups = hits + misses
+        jobs = self.store.counts()
+        _QUEUE_DEPTH.set(jobs["queued"])
         return {
             "status": "ok",
             "api_version": API_VERSION,
             "uptime_s": round(time.time() - self._started_at, 3),
             "store": self.store.url,
-            "queue_depth": int(QUEUE_DEPTH.value()),
+            "queue_depth": jobs["queued"],
             "active_jobs": int(JOBS_ACTIVE.value()),
             "drainers": self.queue.drainers,
-            "jobs": self.store.counts(),
+            "jobs": jobs,
             "cache": {"entries": len(self.queue.cache), "hits": int(hits),
                       "misses": int(misses),
                       "hit_rate": round(hits / lookups, 4) if lookups
@@ -646,10 +653,12 @@ class SchedulingService:
         }
 
     def refresh_store_gauges(self) -> None:
-        """Project shared store state (job counts, per-worker claim
-        totals) into registry gauges — called on every metrics scrape so
-        the numbers cover external workers too."""
-        for status, count in self.store.counts().items():
+        """Project shared store state (job counts, queue depth,
+        per-worker claim totals) into registry gauges — called on every
+        metrics scrape so the numbers cover external workers too."""
+        counts = self.store.counts()
+        _QUEUE_DEPTH.set(counts["queued"])
+        for status, count in counts.items():
             _STORE_JOBS.set(count, status=status)
         for worker, claims in self.store.claims_by_worker().items():
             _STORE_WORKER_CLAIMS.set(claims, worker=worker)

@@ -6,8 +6,9 @@ worker nodes, the HTTP server and chaos all program against. Two
 implementations ship:
 
 * :class:`~repro.service.store.JobStore` — the SQLite reference
-  implementation (WAL, per-thread connections, shard files for the
-  result cache); the only backend multiple *processes* can share.
+  implementation (WAL, a small pool of reused connections, shard files
+  for the result cache); the only backend multiple *processes* can
+  share.
 * :class:`MemoryStore` — a pure-dict twin with identical lease/retry
   semantics, for tests and chaos campaigns that want a store with zero
   filesystem footprint (and a place to wedge failures without touching

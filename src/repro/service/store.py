@@ -20,13 +20,19 @@ table found in an old database is migrated into the shards on open.
 
 Concurrency. The store is accessed from many threads (HTTP handlers +
 worker-node drainers) and, in fleet topologies, from many *processes*.
-File-backed stores open one connection per thread (WAL journal +
-``busy_timeout`` + ``BEGIN IMMEDIATE`` write transactions) and close it
-when that thread exits, so readers never block behind writers,
-concurrent writers queue on SQLite's own lock instead of racing, and
-the connection count stays bounded by the live threads. ``:memory:``
-stores — where every connection would see a different empty database —
-keep the legacy single shared connection behind an RLock.
+File-backed stores keep a small pool of idle connections (WAL journal +
+``busy_timeout`` + ``BEGIN IMMEDIATE`` write transactions): each read or
+write transaction borrows one and hands it back, so readers never block
+behind writers, concurrent writers queue on SQLite's own lock instead of
+racing, and a server that runs every HTTP request on a fresh thread
+neither opens a connection per request nor keeps more than
+:data:`_POOL_IDLE_MAX` open between requests. ``:memory:`` stores —
+where every connection would see a different empty database — keep the
+legacy single shared connection behind an RLock.
+
+Records read from the database leave the job's instance JSON undecoded
+until ``JobRecord.instance`` is first read, so status reads never pay for
+it; ``claim_next``, whose caller runs the job, decodes it up front.
 
 This is the reference :class:`~repro.service.storage.StoreBackend`; the
 in-memory twin used by tests and chaos lives in
@@ -42,7 +48,6 @@ import sqlite3
 import threading
 import time
 import uuid
-import weakref
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping
 
@@ -69,6 +74,11 @@ TERMINAL_STATUSES = ("done", "failed", "quarantined")
 
 #: Attempts a job gets before quarantine, unless overridden per job.
 DEFAULT_MAX_ATTEMPTS = 3
+
+#: Idle connections a file-backed store keeps for reuse. More may be
+#: open while that many threads are inside a transaction at once; the
+#: surplus is closed as it is handed back.
+_POOL_IDLE_MAX = 8
 
 #: How many eligible candidates ``claim_next`` races for before giving
 #: up the poll — under N competing nodes, losing the first few atomic
@@ -117,15 +127,38 @@ CREATE TABLE IF NOT EXISTS meta (
 """
 
 
+class _LazyInstance:
+    """Data descriptor behind :attr:`JobRecord.instance`: it takes an
+    :class:`Instance`, or the row's instance JSON text, which it decodes
+    on first read and keeps. Status reads never touch the instance, so
+    they never pay for decoding it."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, obj, owner=None) -> Instance:
+        if obj is None:
+            # no class-level default: the field stays a required argument
+            raise AttributeError(self._slot[1:])
+        value = obj.__dict__[self._slot]
+        if isinstance(value, str):
+            value = instance_from_dict(json.loads(value))
+            obj.__dict__[self._slot] = value
+        return value
+
+    def __set__(self, obj, value: Instance | str) -> None:
+        obj.__dict__[self._slot] = value
+
+
 @dataclass(frozen=True)
 class JobRecord:
-    """One row of the ``jobs`` table, decoded."""
+    """One row of the ``jobs`` table, decoded (the instance lazily)."""
 
     id: str
     status: str
     priority: int
     label: str
-    instance: Instance
+    instance: Instance = _LazyInstance()
     instance_digest: str
     algorithms: tuple[tuple[str, dict], ...]
     timeout: float | None
@@ -159,8 +192,7 @@ class JobRecord:
 def _row_to_record(row: sqlite3.Row) -> JobRecord:
     return JobRecord(
         id=row["id"], status=row["status"], priority=row["priority"],
-        label=row["label"],
-        instance=instance_from_dict(json.loads(row["instance"])),
+        label=row["label"], instance=row["instance"],
         instance_digest=row["instance_digest"],
         algorithms=tuple((name, dict(kwargs))
                          for name, kwargs in json.loads(row["algorithms"])),
@@ -171,26 +203,6 @@ def _row_to_record(row: sqlite3.Row) -> JobRecord:
         attempts=row["attempts"], max_attempts=row["max_attempts"],
         next_attempt_at=row["next_attempt_at"],
         claimed_by=row["claimed_by"])
-
-
-class _ConnHolder:
-    """A thread's SQLite connection, held through the store's
-    thread-local so that the thread's exit drops the last reference and
-    a ``weakref.finalize`` closes the connection (``sqlite3.Connection``
-    itself cannot be weakly referenced)."""
-
-    __slots__ = ("conn", "__weakref__")
-
-    def __init__(self, conn: sqlite3.Connection) -> None:
-        self.conn = conn
-
-
-def _release_conn(conns: set, lock: threading.RLock,
-                  conn: sqlite3.Connection) -> None:
-    with lock:
-        conns.discard(conn)
-    with contextlib.suppress(sqlite3.ProgrammingError):
-        conn.close()
 
 
 class _Rollback(Exception):
@@ -212,20 +224,21 @@ class JobStore:
         self._serial = self.path == ":memory:" \
             or self.path.startswith("file::memory:")
         self._lock = threading.RLock()
-        self._tls = threading.local()
-        # the live connections, so close() reaches them from any thread;
-        # a thread's own one leaves this set when the thread exits
+        # every open connection, idle or in use, so close() reaches them
+        # all; the idle ones wait in _idle for the next transaction
         self._conns: set[sqlite3.Connection] = set()
+        self._idle: list[sqlite3.Connection] = []
         self._closed = False
         if self._serial:
             # every connection to :memory: is its own empty database, so
-            # per-thread connections are impossible — serialise instead
+            # a pool is impossible — serialise on one connection instead
             self._shared = self._connect()
         else:
             self._shared = None
         # executescript commits on its own (autocommit mode), so schema
         # setup stays outside the explicit-transaction helpers
-        self._connection().executescript(_SCHEMA)
+        with self._read() as conn:
+            conn.executescript(_SCHEMA)
         with self._write() as conn:
             self._migrate(conn)
         self.cache = self._open_cache(cache_shards)
@@ -236,9 +249,10 @@ class JobStore:
     # ------------------------------------------------------------------ #
 
     def _connect(self) -> sqlite3.Connection:
-        # check_same_thread=False so close() may run from any thread;
-        # each connection is still *used* by one thread only (file mode)
-        # or behind the RLock (memory mode). isolation_level=None puts
+        # check_same_thread=False: a pooled connection serves whichever
+        # thread borrows it next, and close() may run from any thread;
+        # each is still used by one thread at a time (file mode) or
+        # behind the RLock (memory mode). isolation_level=None puts
         # sqlite3 in autocommit so BEGIN IMMEDIATE below is explicit.
         conn = sqlite3.connect(self.path, check_same_thread=False,
                                isolation_level=None)
@@ -251,25 +265,32 @@ class JobStore:
             self._conns.add(conn)
         return conn
 
-    def _connection(self) -> sqlite3.Connection:
-        if self._serial:
-            return self._shared
-        holder = getattr(self._tls, "holder", None)
-        if holder is None:
-            # every HTTP request runs on a fresh thread: without the
-            # finalizer each one would leave an open connection behind
-            holder = self._tls.holder = _ConnHolder(self._connect())
-            weakref.finalize(holder, _release_conn, self._conns,
-                             self._lock, holder.conn)
-        return holder.conn
-
     @contextlib.contextmanager
     def _read(self):
+        """A connection for one read (or one :meth:`_write` transaction),
+        from the idle pool when it has one; handed back afterwards, or
+        closed when the pool is full, the store closed, or a transaction
+        was left open."""
         if self._serial:
             with self._lock:
                 yield self._shared
-        else:
-            yield self._connection()
+            return
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._connect()
+        try:
+            yield conn
+        finally:
+            with self._lock:
+                keep = not self._closed and not conn.in_transaction \
+                    and len(self._idle) < _POOL_IDLE_MAX
+                if keep:
+                    self._idle.append(conn)
+                else:
+                    self._conns.discard(conn)
+            if not keep:
+                conn.close()
 
     @contextlib.contextmanager
     def _write(self):
@@ -278,11 +299,8 @@ class JobStore:
         Raising :class:`_Rollback` inside the block rolls back quietly —
         the caller signals "condition not met" via its own return value.
         Any other exception rolls back and propagates."""
-        if self._serial:
-            with self._lock:
-                yield from self._tx(self._shared)
-        else:
-            yield from self._tx(self._connection())
+        with self._read() as conn:
+            yield from self._tx(conn)
 
     @staticmethod
     def _tx(conn: sqlite3.Connection):
@@ -326,12 +344,14 @@ class JobStore:
             if self._closed:
                 return
             self._closed = True
-            # a copy: a finalizer running on this thread mid-loop would
-            # change the set under the iteration
-            for conn in list(self._conns):
+            # in-use connections too: their borrowers fail on their next
+            # statement, and hand back a closed connection that is not
+            # pooled again
+            for conn in self._conns:
                 with contextlib.suppress(sqlite3.ProgrammingError):
                     conn.close()
             self._conns.clear()
+            self._idle.clear()
 
     # ------------------------------------------------------------------ #
     # result-cache shards
@@ -506,7 +526,9 @@ class JobStore:
                 (now, _CLAIM_CANDIDATES)).fetchall()
         for row in rows:
             if self.claim_job(row["id"], lease_seconds, worker=worker):
-                return self.get_job(row["id"])
+                job = self.get_job(row["id"])
+                job.instance    # the caller runs it: decode here
+                return job
         return None
 
     def claims_by_worker(self) -> dict[str, int]:

@@ -54,8 +54,6 @@ __all__ = ["WorkerNode", "run_worker", "retryable"]
 
 _log = get_logger("repro.service.worker")
 
-QUEUE_DEPTH = REGISTRY.gauge(
-    "repro_queue_depth", "Jobs waiting in the queue (in-flight excluded).")
 JOBS_ACTIVE = REGISTRY.gauge(
     "repro_jobs_active", "Jobs currently being solved by a drainer.")
 JOBS_COMPLETED = REGISTRY.counter(
@@ -300,7 +298,6 @@ class WorkerNode:
                     self._cv.wait(self.poll_interval)
                 continue
             WORKER_CLAIMS.inc(worker=self.name)
-            QUEUE_DEPTH.set(self.store.count_jobs("queued"))
             # a drainer_loop fault fires *after* the claim and *before*
             # in-flight tracking: the thread dies holding a live lease,
             # and only supervision (lease reclaim + drainer respawn)
@@ -408,7 +405,7 @@ class WorkerNode:
                            error=f"{type(exc).__name__}: {exc}")
 
     def _tick(self) -> None:
-        """One supervisor pass: heartbeat, reclaim, gauge, respawn."""
+        """One supervisor pass: heartbeat, reclaim, respawn."""
         with self._cv:
             inflight = list(self._inflight)
         for job_id in inflight:
@@ -429,8 +426,6 @@ class WorkerNode:
             _log.error("job_quarantined", job_id=rec.id,
                        trace_id=rec.trace_id, error=rec.error,
                        attempt=rec.attempts)
-
-        QUEUE_DEPTH.set(self.store.count_jobs("queued"))
 
         for i, t in enumerate(self._threads):
             if not t.is_alive() and not self._stopping:

@@ -1,5 +1,6 @@
 """Tests for the execution engine: SolveReport, run_batch, caching."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from repro import Instance
 from repro.engine import (ReportCache, SolveReport, cache_key, execute,
                           run_batch)
+from repro.engine.report import _num_str
 from repro.registry import UnknownSolverError
 from repro.workloads import uniform_instance
 
@@ -39,6 +41,30 @@ class TestSolveReport:
         rep = SolveReport(algorithm="lpt", instance_digest="e" * 64,
                           status="error", error="boom")
         assert SolveReport.from_dict(rep.to_dict()) == rep
+
+    @pytest.mark.parametrize("makespan, guess", [
+        (Fraction(22, 7), Fraction(11, 7)), (7, 6), (2.5, 1.25),
+        (None, None), (Fraction(9, 2), 4)])
+    def test_to_dict_matches_the_asdict_encoding(self, makespan, guess):
+        rep = SolveReport(algorithm="nfold-splittable",
+                          instance_digest="d" * 64, instance_label="x",
+                          variant="splittable", makespan=makespan,
+                          guess=guess, certified_ratio=1.5,
+                          proven_ratio="1+eps", wall_time_s=0.125,
+                          validated=True,
+                          extra={"nfold": {"N": 3, "delta": [1, 2]},
+                                 "schedule": [[0, "1/2", [3, 4]]],
+                                 "trace_id": "t-1"})
+        # the encoding to_dict had when it was built on dataclasses.asdict
+        old = dataclasses.asdict(rep)
+        old["makespan"] = _num_str(rep.makespan)
+        old["guess"] = _num_str(rep.guess)
+        old["extra"] = dict(rep.extra)
+        new = rep.to_dict()
+        assert new == old
+        assert list(new) == list(old)
+        assert json.dumps(new) == json.dumps(old)
+        assert json.dumps(new, indent=2) == json.dumps(old, indent=2)
 
     def test_unknown_status_rejected(self):
         with pytest.raises(ValueError, match="unknown status"):

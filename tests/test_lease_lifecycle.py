@@ -16,7 +16,7 @@ from repro import Instance
 from repro.faults import injection
 from repro.faults.injection import FaultInjected
 from repro.service import JobQueue, JobStore
-from repro.service.queue import _DRAINER_RESTARTS, LEASE_RECLAIMS
+from repro.service.worker import _DRAINER_RESTARTS, LEASE_RECLAIMS
 
 
 @pytest.fixture(autouse=True)

@@ -20,6 +20,7 @@ from repro.service import (JobQueue, SchedulingService, ServiceClient,
                            ServiceError, WorkerNode, open_store)
 from repro.service import queue as queue_mod
 from repro.service import server as server_mod
+from repro.service import store as store_mod
 
 
 @pytest.fixture
@@ -581,3 +582,25 @@ class TestClientWait:
         with pytest.raises(TimeoutError, match="still"):
             client.wait(jid, timeout=0.3)
         assert time.monotonic() - t0 < 3.0
+
+
+class TestStatusReads:
+    def test_round_trip_decodes_the_instance_once(self, service, client,
+                                                  inst, monkeypatch):
+        # submit, the long-poll and its status re-reads, and both report
+        # fetches read the job row; only the drainer's claim needs the
+        # instance itself
+        decode = store_mod.instance_from_dict
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return decode(data)
+
+        monkeypatch.setattr(store_mod, "instance_from_dict", counting)
+        job = client.submit(inst, ["lpt", "splittable"])
+        reports = client.wait(job["id"])
+        assert [r.status for r in reports] == ["ok", "ok"]
+        assert client.reports(job["id"]) == reports
+        assert client.job(job["id"])["status"] == "done"
+        assert len(calls) == 1

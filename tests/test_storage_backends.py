@@ -3,6 +3,7 @@ one contract, SQLite survives multi-thread and multi-connection writers,
 and store_url parsing builds the right backend."""
 
 import sqlite3
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 from repro import Instance
 from repro.engine import SolveReport
 from repro.service import JobStore, MemoryStore, StoreBackend, open_store
+from repro.service import store as store_mod
 
 
 @pytest.fixture
@@ -213,23 +215,73 @@ class TestSqliteConcurrency:
         a.close()
         b.close()
 
-    def test_thread_connections_close_when_threads_exit(self, tmp_path,
-                                                         inst):
+    def test_pool_bounds_connections_across_threads(self, tmp_path, inst):
         # an HTTP server runs every request on a fresh thread; the store
         # must not keep one open connection per thread that ever read it
         store = JobStore(tmp_path / "threads.db")
         job = store.create_job(inst, [("lpt", {})])
-        for _ in range(50):
-            t = threading.Thread(target=store.get_job, args=(job.id,))
-            t.start()
-            t.join()
-        assert len(store._conns) <= 2
-        # close() still reaches the connections that are live
-        conn = store._connection()
+
+        barrier = threading.Barrier(50)
+
+        def request():
+            # all 50 hold a connection at once, so the pool has to close
+            # the surplus as they come back
+            with store._read():
+                barrier.wait(10)
+            # a write as well as a read: two threads handed the same
+            # connection would nest BEGIN IMMEDIATE and raise
+            store.get_job(job.id)
+            store.create_job(inst, [("lpt", {})])
+
+        threads = [threading.Thread(target=request) for _ in range(50)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert store.count_jobs() == 51
+        assert 1 <= len(store._conns) <= store_mod._POOL_IDLE_MAX
+        assert sorted(map(id, store._idle)) == sorted(map(id, store._conns))
         store.close()
-        assert not store._conns
+
+    def test_close_reaches_idle_and_borrowed_connections(self, tmp_path):
+        store = JobStore(tmp_path / "close.db")
+        with store._read() as borrowed:
+            with store._read() as idle:
+                pass
+            assert store._idle == [idle]
+            store.close()
+            assert not store._conns and not store._idle
+            for conn in (borrowed, idle):
+                with pytest.raises(sqlite3.ProgrammingError):
+                    conn.execute("SELECT 1")
+        # handing the borrowed one back after close() does not pool it
+        assert not store._conns and not store._idle
+
+    def test_connection_handed_back_after_close_is_closed(self, tmp_path):
+        store = JobStore(tmp_path / "late.db")
+        store.close()
+        # a late reader still gets a working connection, but it is
+        # closed on the way back instead of outliving the store
+        with store._read() as late:
+            assert late.execute("SELECT 1").fetchone()[0] == 1
+            assert store._conns == {late}
+        assert not store._conns and not store._idle
         with pytest.raises(sqlite3.ProgrammingError):
-            conn.execute("SELECT 1")
+            late.execute("SELECT 1")
+
+    def test_connection_left_in_a_transaction_is_not_pooled(self,
+                                                            tmp_path):
+        store = JobStore(tmp_path / "tx.db")
+        with store._read() as conn:
+            conn.execute("BEGIN")
+        assert conn not in store._idle and conn not in store._conns
+        store.close()
 
     def test_serial_memory_mode_still_works(self, inst):
         # ":memory:" cannot use per-thread connections (each one would be
